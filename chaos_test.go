@@ -22,7 +22,7 @@ func chaosSpec(sched string) RunSpec {
 }
 
 // chaosEngines is every engine the fault-injection suite must cover.
-var chaosEngines = []string{"event", "dense", "parallel"}
+var chaosEngines = []string{"event", "dense"}
 
 // A partition that stops answering (the observable shape of a late
 // NextWakeup contract violation) must trip the liveness watchdog on

@@ -1,7 +1,9 @@
 package dramlat
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dramlat/internal/gpu"
@@ -14,14 +16,14 @@ import (
 func runBoth(t *testing.T, spec RunSpec) (dense, event Results, dtel, etel *Telemetry) {
 	t.Helper()
 	ds := spec
-	ds.DenseLoop = true
+	ds.Engine = "dense"
 	var err error
 	dense, dtel, err = RunTelemetry(ds)
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
 	}
 	es := spec
-	es.DenseLoop = false
+	es.Engine = ""
 	event, etel, err = RunTelemetry(es)
 	if err != nil {
 		t.Fatalf("event run: %v", err)
@@ -80,13 +82,13 @@ func TestEventDrivenMatchesDense(t *testing.T) {
 func TestEventDrivenMatchesDenseRefresh(t *testing.T) {
 	for _, sched := range []string{"gmc", "frfcfs", "wg-w"} {
 		t.Run(sched, func(t *testing.T) {
-			build := func(dense bool) Results {
+			build := func(engine string) Results {
 				cfg := gpu.DefaultConfig()
 				cfg.NumSMs = 6
 				cfg.WarpsPerSM = 8
 				cfg.Scheduler = sched
 				cfg.EnableRefresh = true
-				cfg.DenseLoop = dense
+				cfg.Engine = engine
 				p := workload.DefaultParams()
 				p.NumSMs = cfg.NumSMs
 				p.WarpsPerSM = cfg.WarpsPerSM
@@ -105,10 +107,44 @@ func TestEventDrivenMatchesDenseRefresh(t *testing.T) {
 				}
 				return res
 			}
-			dense, event := build(true), build(false)
+			dense, event := build(gpu.EngineDense), build(gpu.EngineEvent)
 			if !reflect.DeepEqual(dense, event) {
 				t.Fatalf("results diverge with refresh\ndense: %+v\nevent: %+v", dense, event)
 			}
 		})
+	}
+}
+
+// TestEngineValidation: the engine knob validates without running, and
+// only the event, dense and sampled engines exist.
+func TestEngineValidation(t *testing.T) {
+	spec := RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.05, SMs: 2, WarpsPerSM: 4}
+	for _, engine := range []string{"", "event", "dense", "sampled"} {
+		good := spec
+		good.Engine = engine
+		if err := good.Validate(); err != nil {
+			t.Fatalf("engine %q rejected: %v", engine, err)
+		}
+	}
+	var ve *ValidationError
+	for _, engine := range []string{"quantum", "parallel"} {
+		bad := spec
+		bad.Engine = engine
+		if err := bad.Validate(); !errors.As(err, &ve) {
+			t.Fatalf("unknown engine %q accepted: %v", engine, err)
+		}
+	}
+
+	// CmdLog is a Config-level knob: fast-forward regions issue no
+	// commands, so the sampled engine refuses to log a holey stream.
+	cfg := gpu.DefaultConfig()
+	cfg.Engine = gpu.EngineSampled
+	cfg.CmdLog = &strings.Builder{}
+	if err := cfg.Validate(); !errors.As(err, &ve) {
+		t.Fatalf("sampled+CmdLog accepted: %v", err)
+	}
+	cfg.Engine = gpu.EngineDense
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("dense+CmdLog rejected: %v", err)
 	}
 }

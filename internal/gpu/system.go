@@ -108,19 +108,6 @@ type System struct {
 	// differently, and Results must stay byte-identical between them.
 	Engine EngineStats
 
-	// Parallel-engine staging (Cfg.Engine == EngineParallel): each SM and
-	// each partition records its collector calls and trace events into a
-	// staged child, and the coordinator absorbs the children in component
-	// order at each phase barrier, reproducing the serial call sequence.
-	smCols      []*stats.Collector
-	partCols    []*stats.Collector
-	smTracers   []*telemetry.Tracer
-	partTracers []*telemetry.Tracer
-
-	// shards describes the parallel engine's SM sharding for stall dumps;
-	// nil outside parallel runs.
-	shards []guard.ShardState
-
 	now int64
 }
 
@@ -128,7 +115,7 @@ type System struct {
 // VisitedTicks is the number of distinct ticks the main loop executed
 // (equal to Ticks+1 for the dense engine); SMTicks and PartTicks count
 // component-tick executions. The dense/event ratio of these is the
-// tick-skipping win reported in BENCH_3.json.
+// tick-skipping win.
 type EngineStats struct {
 	VisitedTicks int64
 	SMTicks      int64
@@ -165,34 +152,20 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	case "atlas":
 		s.atlas = memctrl.NewATLASState(cfg.ATLASQuantum)
 	}
-	par := cfg.Engine == EngineParallel
-	if par {
-		s.x.Par = true
-		if s.net != nil {
-			s.net.EnableStaging()
-		}
-	}
-
 	for ch := 0; ch < cfg.NumChannels; ch++ {
 		channel := dram.NewChannel(cfg.Timing, cfg.NumBanks, cfg.BankGroups, cfg.CmdQueueCap)
 		// The dense reference engine keeps the uncached Tick as the
 		// differential-testing oracle.
-		channel.WakeCache = !cfg.DenseLoop
+		channel.WakeCache = cfg.Engine != EngineDense
 		if cfg.EnableRefresh {
 			channel.SetRefresh(cfg.RefreshTicks, cfg.TRFCTicks)
-		}
-		pCol, pTracer := s.Col, tracer
-		if par {
-			pCol, pTracer = s.Col.Stage(), tracer.Stage()
-			s.partCols = append(s.partCols, pCol)
-			s.partTracers = append(s.partTracers, pTracer)
 		}
 		sched, ws := s.buildScheduler(ch)
 		ctl := memctrl.New(channel, sched, cfg.ReadQ, cfg.WriteQ, cfg.HighWM, cfg.LowWM)
 		ctl.WriteAgeDrain = cfg.WriteAgeDrain
-		ctl.Probe, ctl.ChannelID = pTracer, ch
+		ctl.Probe, ctl.ChannelID = tracer, ch
 		if ws != nil {
-			ws.Probe = pTracer
+			ws.Probe = tracer
 		}
 		if cfg.Scheduler == "sbwas" {
 			ctl.Writes = memctrl.Interleaved
@@ -203,13 +176,13 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 				SizeBytes: cfg.L2SliceSize, LineBytes: cfg.LineBytes,
 				Ways: cfg.L2Ways, MSHRs: cfg.L2MSHRs,
 			}),
-			ctl: ctl, ws: ws, x: s.x, col: pCol,
+			ctl: ctl, ws: ws, x: s.x, col: s.Col,
 			pipeCap: cfg.L2PipeDepth,
 			mapper:  s.Mapper, mshrCap: cfg.L2MSHRs, l2Lat: cfg.L2Lat,
 			nextID:    creatorID(uint64(cfg.NumSMs + ch)),
 			noCredits: cfg.Ablation == "no-credits",
 			cmdLog:    cfg.CmdLog,
-			probe:     pTracer,
+			probe:     tracer,
 			tsamp:     sampler,
 		}
 		ctl.OnReadDone = p.onReadDone
@@ -218,12 +191,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 
 	for id := 0; id < cfg.NumSMs; id++ {
-		sCol, sTracer := s.Col, tracer
-		if par {
-			sCol, sTracer = s.Col.Stage(), tracer.Stage()
-			s.smCols = append(s.smCols, sCol)
-			s.smTracers = append(s.smTracers, sTracer)
-		}
 		smCfg := sm.Config{
 			ID:     id,
 			Mapper: s.Mapper,
@@ -237,8 +204,8 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			ZeroDivergence:    cfg.ZeroDivergence,
 			PerfectCoalescing: cfg.PerfectCoalescing,
 			NextID:            creatorID(uint64(id)),
-			Collector:         sCol,
-			Probe:             sTracer,
+			Collector:         s.Col,
+			Probe:             tracer,
 			ClassifyStalls:    sampler != nil,
 		}
 		smID := id
@@ -252,10 +219,8 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 
 // creatorID returns an ID allocator for one creator domain: SM i uses
 // stream i, partition ch uses stream NumSMs+ch. IDs are
-// (stream+1)<<40 | serial, so streams never collide, every ID is
-// engine-independent (serial and parallel allocate identically), and
-// allocation is domain-local — no shared counter for parallel phases to
-// contend on.
+// (stream+1)<<40 | serial, so streams never collide and every ID is
+// independent of the order in which components tick.
 func creatorID(creator uint64) func() uint64 {
 	var serial uint64
 	return func() uint64 {
@@ -318,16 +283,14 @@ func (s *System) buildScheduler(ch int) (memctrl.Scheduler, *core.WarpScheduler)
 // The default engine is event-driven: it visits a component only at
 // ticks where its state can change and jumps time to the next wakeup
 // when nothing is runnable, producing results byte-identical to the
-// dense reference loop (Cfg.DenseLoop; see DESIGN.md "Simulation
-// engine" and TestEventDrivenMatchesDense). Cfg.Engine selects the
-// dense reference loop or the epoch-parallel engine explicitly.
+// dense reference loop (Cfg.Engine == EngineDense; see DESIGN.md
+// "Simulation engine" and TestEventDrivenMatchesDense). The sampled
+// engine runs its detailed phases on the same next-wakeup loop.
 func (s *System) Run() (Results, error) {
-	switch {
-	case s.Cfg.Engine == EngineParallel:
-		return s.runParallel()
-	case s.Cfg.Engine == EngineSampled:
+	switch s.Cfg.Engine {
+	case EngineSampled:
 		return s.runSampled()
-	case s.Cfg.DenseLoop || s.Cfg.Engine == EngineDense:
+	case EngineDense:
 		return s.runDense()
 	default:
 		return s.runEvent()
@@ -396,6 +359,12 @@ func (s *System) runDense() (Results, error) {
 			}
 		}
 	}
+	return s.finish(doneTick, lastSample, stall)
+}
+
+// finish flushes telemetry and digests the run. A run that neither
+// drained nor stalled exhausted its cycle budget.
+func (s *System) finish(doneTick, lastSample int64, stall *guard.StallError) (Results, error) {
 	if s.Tel != nil {
 		s.flushTelemetry(lastSample)
 	}
@@ -409,181 +378,200 @@ func (s *System) runDense() (Results, error) {
 	return res, nil
 }
 
-// runEvent is the next-wakeup engine. Invariant: at every visited tick
-// it executes exactly the dense per-tick code, in dense component order,
-// for every component whose tick would not be a no-op; a component-tick
-// is skipped only when the wakeup contracts prove it would be a dense
-// no-op (modulo the SM idle counters, which CatchUp batches). By
-// induction over visited ticks the two engines produce byte-identical
-// state, hence byte-identical Results and telemetry.
+// runEvent is the next-wakeup engine: one pass of the event loop to
+// MaxTicks.
 func (s *System) runEvent() (Results, error) {
-	doneTick := int64(-1)
-	nextSample := int64(-1)
-	lastSample := int64(-1)
-	if s.Tel != nil && s.Tel.Sampler != nil {
-		nextSample = s.Tel.Sampler.Every
-	}
-	nSM := len(s.sms)
-	smWake := make([]int64, nSM) // zero: every SM is runnable at tick 0
-	smLast := make([]int64, nSM) // last tick the SM actually ticked
-	smDone := make([]bool, nSM)
-	pWake := make([]int64, len(s.parts))
-	live := 0
-	for i, c := range s.sms {
-		smLast[i] = -1
-		if c.Done() {
-			smDone[i] = true
-		} else {
-			live++
-		}
-	}
+	e := newEventLoop(s)
+	e.step(s.Cfg.MaxTicks, false)
+	return e.finish()
+}
+
+// eventLoop is the next-wakeup loop's state. The event engine steps it
+// once to MaxTicks; the sampled engine stops and resumes it around its
+// drains and fast-forward jumps.
+type eventLoop struct {
+	s      *System
+	smWake []int64 // per-SM next wakeup; zero makes every SM runnable at tick 0
+	smLast []int64 // last tick each SM actually ticked
+	smDone []bool
+	pWake  []int64
 	// smBase is the exact min over smWake (SM-internal wakeups); partBase
 	// the exact min over pWake and coordination-message dues. Crossbar
-	// traffic is covered by the xbar's own maintained minima, so deciding
+	// traffic is covered by the crossbar's own minima, so deciding
 	// whether any component needs this tick is a handful of compares —
 	// the per-component scans run only when their trigger fires.
-	const bigTick = int64(1) << 62
-	smBase, partBase := int64(0), int64(0)
-	now := int64(0)
-	wd := s.newWatchdog()
-	f := s.Cfg.Faults
-	var stall *guard.StallError
-	for now < s.Cfg.MaxTicks {
+	smBase   int64
+	partBase int64
+	now      int64
+	live     int
+
+	doneTick int64
+	stall    *guard.StallError
+	wd       *watchdog
+	f        *chaos.Faults
+
+	nextSample int64 // -1 when sampling is off, so it never matches
+	lastSample int64
+}
+
+const bigTick = int64(1) << 62
+
+func newEventLoop(s *System) *eventLoop {
+	e := &eventLoop{
+		s:          s,
+		smWake:     make([]int64, len(s.sms)),
+		smLast:     make([]int64, len(s.sms)),
+		smDone:     make([]bool, len(s.sms)),
+		pWake:      make([]int64, len(s.parts)),
+		doneTick:   -1,
+		wd:         s.newWatchdog(),
+		f:          s.Cfg.Faults,
+		nextSample: -1,
+		lastSample: -1,
+	}
+	if s.Tel != nil && s.Tel.Sampler != nil {
+		e.nextSample = s.Tel.Sampler.Every
+	}
+	for i, c := range s.sms {
+		e.smLast[i] = -1
+		if c.Done() {
+			e.smDone[i] = true
+		} else {
+			e.live++
+		}
+	}
+	return e
+}
+
+// step advances the loop from e.now to limit (exclusive), stopping early
+// when the last warp retires, the watchdog trips, or — with
+// stopQuiescent — the whole system reaches quiescence.
+//
+// Invariant: at every visited tick it executes exactly the dense
+// per-tick code, in dense component order, for every component whose
+// tick would not be a no-op; a component-tick is skipped only when the
+// wakeup contracts prove it would be a dense no-op (modulo the SM idle
+// counters, which CatchUp batches). By induction over visited ticks the
+// two loops produce byte-identical state, hence byte-identical Results
+// and telemetry. Tick 0 is always visited, so a workload with no live
+// warps drains there.
+//
+// The crossbar keeps its per-SM and per-partition wake bounds current on
+// every push and pop; the loop restores the whole-crossbar minima with
+// RecomputeMins after each block of SM ticks and each block of partition
+// ticks, so every gate and jump below reads exact minima.
+func (e *eventLoop) step(limit int64, stopQuiescent bool) {
+	s := e.s
+	limit = min(limit, s.Cfg.MaxTicks)
+	for e.now < limit && e.doneTick < 0 && e.stall == nil {
+		now := e.now
 		s.now = now
-		f.CheckPanic(now)
+		e.f.CheckPanic(now)
 		s.Engine.VisitedTicks++
-		if now >= smBase || now >= s.x.MinRespWake() {
-			smBase = bigTick
+		if now >= e.smBase || now >= s.x.MinRespWake() {
+			e.smBase = bigTick
 			for i, c := range s.sms {
-				eff := smWake[i]
-				if rw := s.x.RespWake(i); rw < eff {
-					eff = rw
-				}
+				eff := min(e.smWake[i], s.x.RespWake(i))
 				// A comatose component models a late NextWakeup answer:
 				// its due tick passes unserved. Leaving smWake stale
 				// (<= now) keeps the loop stepping densely so the
 				// watchdog, not a hang, reports it.
-				if eff <= now && !f.Asleep(chaos.TargetSM, i, now) {
-					if gap := now - 1 - smLast[i]; gap > 0 {
+				if eff <= now && !e.f.Asleep(chaos.TargetSM, i, now) {
+					if gap := now - 1 - e.smLast[i]; gap > 0 {
 						c.CatchUp(gap)
 					}
 					s.Engine.SMTicks++
 					c.Tick(now, s.x.PopResponse(i, now))
-					smLast[i] = now
-					smWake[i] = c.NextWakeup(now)
-					if !smDone[i] && c.Done() {
-						smDone[i] = true
-						live--
+					e.smLast[i] = now
+					e.smWake[i] = c.NextWakeup(now)
+					if !e.smDone[i] && c.Done() {
+						e.smDone[i] = true
+						e.live--
 					}
 				}
-				if smWake[i] < smBase {
-					smBase = smWake[i]
-				}
+				e.smBase = min(e.smBase, e.smWake[i])
 			}
+			s.x.RecomputeMins()
 		}
-		if now >= partBase || now >= s.x.MinReqWake() {
+		if now >= e.partBase || now >= s.x.MinReqWake() {
 			for ch, p := range s.parts {
-				eff := pWake[ch]
-				if rw := s.x.ReqWake(ch); rw < eff {
-					eff = rw
-				}
+				eff := min(e.pWake[ch], s.x.ReqWake(ch))
 				if s.net != nil {
-					if nd := s.net.NextDue(ch); nd < eff {
-						eff = nd
-					}
+					eff = min(eff, s.net.NextDue(ch))
 				}
-				if eff > now {
-					continue
-				}
-				if f.Asleep(chaos.TargetPartition, ch, now) {
+				if eff > now || e.f.Asleep(chaos.TargetPartition, ch, now) {
 					continue
 				}
 				s.Engine.PartTicks++
 				p.Tick(now)
-				pWake[ch] = p.NextWakeup(now)
+				e.pWake[ch] = p.NextWakeup(now)
 			}
+			s.x.RecomputeMins()
 			// Recompute partBase in a second pass: a partition ticked late
 			// in the loop may have broadcast a coordination message due at
 			// an earlier-indexed partition.
-			partBase = bigTick
+			e.partBase = bigTick
 			for ch := range s.parts {
-				b := pWake[ch]
+				e.partBase = min(e.partBase, e.pWake[ch])
 				if s.net != nil {
-					if nd := s.net.NextDue(ch); nd < b {
-						b = nd
-					}
-				}
-				if b < partBase {
-					partBase = b
+					e.partBase = min(e.partBase, s.net.NextDue(ch))
 				}
 			}
 		}
-		if now == nextSample {
+		if now == e.nextSample {
 			// Idle accounting must be current through this tick before
 			// the sampler snapshots the SM counters.
-			s.catchUpSMs(now, smLast)
+			s.catchUpSMs(now, e.smLast)
 			s.sample(now)
-			lastSample = now
-			nextSample = now + s.Tel.Sampler.Every
+			e.lastSample = now
+			e.nextSample = now + s.Tel.Sampler.Every
 		}
-		if live == 0 {
-			doneTick = now
-			break
+		if e.live == 0 {
+			e.doneTick = now
+			return
 		}
-		if now >= wd.next {
-			if stall = wd.check(now); stall != nil {
-				break
+		if stopQuiescent && s.quiescent() {
+			// Leave e.now at the tick after the one that drained the
+			// last request: quiescence was observed post-Tick.
+			e.now = now + 1
+			return
+		}
+		if now >= e.wd.next {
+			if e.stall = e.wd.check(now); e.stall != nil {
+				return
 			}
 		}
 		// Jump to the earliest wakeup, clamped to the next sample tick
 		// and the next watchdog check.
-		next := s.Cfg.MaxTicks
-		if smBase < next {
-			next = smBase
-		}
-		if rw := s.x.MinRespWake(); rw < next {
-			next = rw
-		}
-		if partBase < next {
-			next = partBase
-		}
-		if rw := s.x.MinReqWake(); rw < next {
-			next = rw
-		}
-		if nextSample >= 0 && nextSample < next {
-			next = nextSample
-		}
-		if wd.next < next {
-			next = wd.next
+		next := min(limit, e.smBase, s.x.MinRespWake(), e.partBase, s.x.MinReqWake(), e.wd.next)
+		if e.nextSample >= 0 {
+			next = min(next, e.nextSample)
 		}
 		if next <= now {
 			next = now + 1 // a stale-early bound forces dense stepping
 		}
-		now = next
+		e.now = next
 	}
-	if stall != nil {
+}
+
+// finish brings the SMs' batched idle accounting current and digests
+// the run.
+func (e *eventLoop) finish() (Results, error) {
+	s := e.s
+	switch {
+	case e.stall != nil:
 		// Aborted mid-run: bring idle accounting current through the
 		// abort tick so partial Results read dense-identical counters.
-		s.catchUpSMs(s.now, smLast)
-	} else if doneTick < 0 {
+		s.catchUpSMs(s.now, e.smLast)
+	case e.doneTick < 0:
 		// MaxTicks exhausted: the dense loop ticked (and idle-counted)
 		// every SM through MaxTicks-1.
 		s.now = s.Cfg.MaxTicks
-		s.catchUpSMs(s.Cfg.MaxTicks-1, smLast)
-	} else {
-		s.now = doneTick
+		s.catchUpSMs(s.Cfg.MaxTicks-1, e.smLast)
+	default:
+		s.now = e.doneTick
 	}
-	if s.Tel != nil {
-		s.flushTelemetry(lastSample)
-	}
-	res := s.results(doneTick)
-	if doneTick < 0 && stall == nil {
-		stall = s.stallError(guard.StallCycleBudget, s.now, s.Cfg.MaxTicks)
-	}
-	if stall != nil {
-		return res, stall
-	}
-	return res, nil
+	return s.finish(e.doneTick, e.lastSample, e.stall)
 }
 
 // catchUpSMs flushes batched idle accounting for every SM through tick

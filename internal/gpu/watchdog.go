@@ -43,7 +43,7 @@ const (
 	watchdogCheckFloor = 1 << 10
 )
 
-// watchdog is the per-run liveness checker shared by both engines.
+// watchdog is the per-run liveness checker shared by every engine.
 type watchdog struct {
 	sys      *System
 	budget   int64 // no-progress trip threshold (cycles); <0 disables
@@ -123,25 +123,12 @@ func (s *System) stallError(kind string, now, budget int64) *guard.StallError {
 // engines' right-after-Tick contract they may be stale bounds — but the
 // occupancy and blocked-warp columns are exact.
 func (s *System) stallDump(now int64) guard.StallDump {
+	// The dense loop does not keep the crossbar minima current.
+	s.x.RecomputeMins()
 	d := guard.StallDump{
 		Cycle:        now,
-		Shards:       append([]guard.ShardState(nil), s.shards...),
 		XbarReqWake:  s.x.MinReqWake(),
 		XbarRespWake: s.x.MinRespWake(),
-	}
-	for i := range d.Shards {
-		sh := &d.Shards[i]
-		if sh.Kind != "sm" {
-			continue
-		}
-		sh.LiveWarps = 0
-		for id := sh.First; id <= sh.Last && id < len(s.sms); id++ {
-			for _, w := range s.sms[id].Warps() {
-				if !w.Done() {
-					sh.LiveWarps++
-				}
-			}
-		}
 	}
 	for i, c := range s.sms {
 		st := guard.SMState{ID: i, ReplayQueue: c.ReplayLen(), NextWakeup: c.NextWakeup(now)}

@@ -56,12 +56,6 @@ type Engine struct {
 	// installed.
 	Telemetry    dramlat.TelemetryOptions
 	TelemetryDir string
-	// Mutate, when non-nil, rewrites each spec immediately before
-	// execution (after the cache lookup), for server-side execution
-	// details like engine selection. It must only touch hash-excluded
-	// fields (Engine, Shards, ...): the cache entry is keyed and stored
-	// from the unmutated spec.
-	Mutate func(*dramlat.RunSpec)
 	// RunTimeout, when positive, gives every executed spec a wall-clock
 	// deadline (spec.Deadline = now + RunTimeout, unless the spec already
 	// carries one). A run that exceeds it aborts with a
@@ -136,9 +130,6 @@ func (e *Engine) prepare(ctx context.Context, spec dramlat.RunSpec) dramlat.RunS
 	}
 	if e.RunTimeout > 0 && spec.Deadline.IsZero() {
 		spec.Deadline = time.Now().Add(e.RunTimeout)
-	}
-	if e.Mutate != nil {
-		e.Mutate(&spec)
 	}
 	return spec
 }

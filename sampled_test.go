@@ -47,9 +47,6 @@ func TestHashExcludedKnobsAreResultNeutral(t *testing.T) {
 	}{
 		{"engine-event", func(s *RunSpec) { s.Engine = "event" }},
 		{"engine-dense", func(s *RunSpec) { s.Engine = "dense" }},
-		{"engine-parallel", func(s *RunSpec) { s.Engine = "parallel" }},
-		{"shards", func(s *RunSpec) { s.Engine = "parallel"; s.Shards = 3 }},
-		{"dense-loop", func(s *RunSpec) { s.DenseLoop = true }},
 		{"max-cycles-sufficient", func(s *RunSpec) { s.MaxCycles = 100_000_000 }},
 		{"stall-cycles", func(s *RunSpec) { s.StallCycles = 5_000_000 }},
 		{"telemetry", func(s *RunSpec) { s.Telemetry = TelemetryOptions{Events: true, EventCap: 64} }},
@@ -133,7 +130,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 
 // Exact engines must never report approximate results.
 func TestExactEnginesAreNotApproximate(t *testing.T) {
-	for _, engine := range []string{"", "dense", "parallel"} {
+	for _, engine := range []string{"", "dense"} {
 		spec := exactTinySpec()
 		spec.Engine = engine
 		res, err := Run(spec)
