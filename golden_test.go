@@ -44,6 +44,16 @@ func goldenCases() []goldenCase {
 			}})
 		}
 	}
+	// Every benchmark, irregular and regular, under the Fig 8 baseline
+	// and the paper's full scheduler, so each input generator is pinned.
+	for _, sched := range []string{"gmc", "wg-w"} {
+		for _, wl := range append(IrregularNames(), RegularNames()...) {
+			name := "bench/" + sched + "/" + wl + "/sm30"
+			out = append(out, goldenCase{name, RunSpec{
+				Benchmark: wl, Scheduler: sched, Scale: 0.02, SMs: 30, WarpsPerSM: 8,
+			}})
+		}
+	}
 	for _, sched := range []string{"gmc", "wafcfs", "wg-w"} {
 		out = append(out, goldenCase{"exact/" + sched + "/bfs/sm120", RunSpec{
 			Benchmark: "bfs", Scheduler: sched, Scale: 0.02, SMs: 120, WarpsPerSM: 8,
