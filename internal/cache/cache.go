@@ -4,6 +4,8 @@
 // misses to the same line.
 package cache
 
+import "math/bits"
+
 // Config sizes a cache.
 type Config struct {
 	SizeBytes int
@@ -35,7 +37,14 @@ type Cache struct {
 	lineBits uint
 	clock    int64
 
-	mshrs map[uint64]*MSHR
+	// mshrs maps line address to in-flight MSHR: an open-addressed table
+	// with linear probing over a power-of-two slot array kept at most
+	// half full, and backward-shift deletion, so a lookup ends at the
+	// first empty slot and never meets a tombstone. It grows on demand:
+	// Config.MSHRs has no upper limit, so it cannot be sized up front.
+	mshrs     []mshrSlot
+	mshrN     int
+	mshrShift uint // 64 - log2(len(mshrs))
 	// mshrFree recycles released MSHRs: misses dominate the simulator's
 	// steady-state allocation profile, and the registers are fixed
 	// hardware structures, so the model should not allocate per miss
@@ -72,7 +81,6 @@ func New(cfg Config) *Cache {
 		sets:     make([][]line, nsets),
 		setMask:  uint64(nsets - 1),
 		lineBits: lb,
-		mshrs:    make(map[uint64]*MSHR),
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
@@ -191,19 +199,101 @@ func (c *Cache) HitRate() float64 {
 
 // --- MSHR management ---
 
+// mshrSlot is one cell of the MSHR table; m == nil marks it empty.
+type mshrSlot struct {
+	line uint64
+	m    *MSHR
+}
+
+// mshrHome returns the slot a line address hashes to (Fibonacci hashing
+// of the line number).
+func (c *Cache) mshrHome(line uint64) int {
+	return int((line >> c.lineBits) * 0x9e3779b97f4a7c15 >> c.mshrShift)
+}
+
+// mshrFind returns the slot holding line, or -1.
+func (c *Cache) mshrFind(line uint64) int {
+	if c.mshrN == 0 {
+		return -1
+	}
+	mask := len(c.mshrs) - 1
+	for i := c.mshrHome(line); ; i = (i + 1) & mask {
+		s := &c.mshrs[i]
+		if s.m == nil {
+			return -1
+		}
+		if s.line == line {
+			return i
+		}
+	}
+}
+
+// mshrInsert places m (whose line is absent) in the table, doubling it
+// first when the insert would fill more than half the slots.
+func (c *Cache) mshrInsert(m *MSHR) {
+	if 2*(c.mshrN+1) > len(c.mshrs) {
+		old := c.mshrs
+		n := max(8, 2*len(old))
+		c.mshrs = make([]mshrSlot, n)
+		c.mshrShift = uint(64 - bits.TrailingZeros(uint(n)))
+		for _, s := range old {
+			if s.m != nil {
+				c.mshrPlace(s)
+			}
+		}
+	}
+	c.mshrPlace(mshrSlot{m.Line, m})
+	c.mshrN++
+}
+
+func (c *Cache) mshrPlace(s mshrSlot) {
+	mask := len(c.mshrs) - 1
+	i := c.mshrHome(s.line)
+	for c.mshrs[i].m != nil {
+		i = (i + 1) & mask
+	}
+	c.mshrs[i] = s
+}
+
+// mshrDelete empties slot i, shifting later members of its probe run
+// back so every remaining entry stays reachable from its home slot.
+func (c *Cache) mshrDelete(i int) {
+	mask := len(c.mshrs) - 1
+	for j := (i + 1) & mask; c.mshrs[j].m != nil; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j]: then moving it would put it before its
+		// home, out of its probe path.
+		k := c.mshrHome(c.mshrs[j].line)
+		if i <= j {
+			if i < k && k <= j {
+				continue
+			}
+		} else if i < k || k <= j {
+			continue
+		}
+		c.mshrs[i] = c.mshrs[j]
+		i = j
+	}
+	c.mshrs[i] = mshrSlot{}
+	c.mshrN--
+}
+
 // MSHRFor returns the in-flight MSHR for the line containing addr, or nil.
 func (c *Cache) MSHRFor(addr uint64) *MSHR {
-	return c.mshrs[addr&^uint64(c.cfg.LineBytes-1)]
+	if i := c.mshrFind(addr &^ uint64(c.cfg.LineBytes-1)); i >= 0 {
+		return c.mshrs[i].m
+	}
+	return nil
 }
 
 // MSHRAlloc allocates an MSHR for the line containing addr. It returns nil
 // when all MSHRs are busy (the miss must be retried later).
 func (c *Cache) MSHRAlloc(addr uint64) *MSHR {
-	if len(c.mshrs) >= c.cfg.MSHRs {
+	if c.mshrN >= c.cfg.MSHRs {
 		return nil
 	}
 	key := addr &^ uint64(c.cfg.LineBytes-1)
-	if _, ok := c.mshrs[key]; ok {
+	if c.mshrFind(key) >= 0 {
 		panic("cache: MSHR already allocated for line")
 	}
 	var m *MSHR
@@ -220,21 +310,22 @@ func (c *Cache) MSHRAlloc(addr uint64) *MSHR {
 	} else {
 		m = &MSHR{Line: key}
 	}
-	c.mshrs[key] = m
+	c.mshrInsert(m)
 	return m
 }
 
 // MSHRRelease removes and returns the MSHR for the line containing addr
 // (on fill). It returns nil if none exists.
 func (c *Cache) MSHRRelease(addr uint64) *MSHR {
-	key := addr &^ uint64(c.cfg.LineBytes-1)
-	m := c.mshrs[key]
-	if m != nil {
-		delete(c.mshrs, key)
-		c.mshrFree = append(c.mshrFree, m)
+	i := c.mshrFind(addr &^ uint64(c.cfg.LineBytes-1))
+	if i < 0 {
+		return nil
 	}
+	m := c.mshrs[i].m
+	c.mshrDelete(i)
+	c.mshrFree = append(c.mshrFree, m)
 	return m
 }
 
 // MSHRCount returns the number of in-flight miss lines.
-func (c *Cache) MSHRCount() int { return len(c.mshrs) }
+func (c *Cache) MSHRCount() int { return c.mshrN }

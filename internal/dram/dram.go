@@ -16,11 +16,10 @@
 // paper's.
 //
 // Per-bank state is data-oriented: the row/timing/score fields the
-// scheduler scan and the legality checks read every cycle live in flat
+// scheduler scan and the timing checks read every cycle live in flat
 // per-channel arrays indexed by bank (see the "Data-oriented core"
-// section of DESIGN.md), so the round-robin scan in Tick and the
-// earliest-legal pass in NextWakeup walk contiguous memory instead of
-// chasing a struct per bank.
+// section of DESIGN.md), so the one-pass round-robin scan in Tick walks
+// contiguous memory instead of chasing a struct per bank.
 //
 // Refresh is off by default (the paper does not discuss it and it affects
 // all schedulers identically) but can be enabled with SetRefresh: an
@@ -488,62 +487,16 @@ func (c *Channel) Enqueue(r *memreq.Request) *Transaction {
 	return txn
 }
 
-// legal reports whether cmd may issue at tick now.
-func (c *Channel) legal(cmd *Command, now int64) bool {
-	b := cmd.Bank
-	switch cmd.Type {
-	case CmdACT:
-		if c.openRow[b] != -1 || now < c.actOK[b] {
-			return false
-		}
-		if now < c.lastACT+int64(c.T.TRRD) {
-			return false
-		}
-		if now < c.fawWindow[c.fawIdx]+int64(c.T.TFAW) {
-			return false
-		}
-		return true
-	case CmdPRE:
-		return c.openRow[b] != -1 && now >= c.preOK[b]
-	case CmdRD:
-		if c.openRow[b] != int32(cmd.Row) || now < c.casOK[b] {
-			return false
-		}
-		if now < c.lastCASGroup[c.group(b)]+int64(c.T.TCCDL) {
-			return false
-		}
-		if now < c.lastCASAny+int64(c.T.TCCDS) {
-			return false
-		}
-		if now < c.wrDataEnd+int64(c.T.TWTR) {
-			return false
-		}
-		return now+int64(c.T.TCAS) >= c.busFreeAt
-	case CmdWR:
-		if c.openRow[b] != int32(cmd.Row) || now < c.casOK[b] {
-			return false
-		}
-		if now < c.lastCASGroup[c.group(b)]+int64(c.T.TCCDL) {
-			return false
-		}
-		if now < c.lastCASAny+int64(c.T.TCCDS) {
-			return false
-		}
-		if now < c.lastRDCmd+int64(c.T.TRTW) {
-			return false
-		}
-		return now+int64(c.T.TWL) >= c.busFreeAt
-	}
-	return false
-}
-
-// earliestLegal returns the exact first tick at which cmd (the head of
-// its bank's queue) satisfies legal(). It mirrors legal() term by term;
-// the row-state preconditions (ACT only on a closed bank, CAS only on
-// the matching open row) always hold for queue heads because per-bank
-// queues execute in order and Enqueue generated the PRE/ACT prefix from
-// the shadow row state.
-func (c *Channel) earliestLegal(cmd *Command) int64 {
+// earliestLegal returns the exact first tick at which cmd, the head of
+// its bank's queue in bank group g, may issue: the latest of every Table
+// II timing term that applies to it. Only heads are ever asked: the
+// row-state preconditions (ACT only on a closed bank, CAS only on the
+// matching open row, PRE only on an open bank) always hold for them,
+// because per-bank queues execute in order and Enqueue generated the
+// PRE/ACT prefix from the shadow row state. A head may issue at now
+// exactly when earliestLegal <= now; the tests hold it to a term-by-term
+// legality check.
+func (c *Channel) earliestLegal(cmd *Command, g int) int64 {
 	b := cmd.Bank
 	switch cmd.Type {
 	case CmdACT:
@@ -559,7 +512,7 @@ func (c *Channel) earliestLegal(cmd *Command) int64 {
 		return c.preOK[b]
 	case CmdRD:
 		t := c.casOK[b]
-		if v := c.lastCASGroup[c.group(b)] + int64(c.T.TCCDL); v > t {
+		if v := c.lastCASGroup[g] + int64(c.T.TCCDL); v > t {
 			t = v
 		}
 		if v := c.lastCASAny + int64(c.T.TCCDS); v > t {
@@ -574,7 +527,7 @@ func (c *Channel) earliestLegal(cmd *Command) int64 {
 		return t
 	case CmdWR:
 		t := c.casOK[b]
-		if v := c.lastCASGroup[c.group(b)] + int64(c.T.TCCDL); v > t {
+		if v := c.lastCASGroup[g] + int64(c.T.TCCDL); v > t {
 			t = v
 		}
 		if v := c.lastCASAny + int64(c.T.TCCDS); v > t {
@@ -598,27 +551,36 @@ func (c *Channel) earliestLegal(cmd *Command) int64 {
 // input. Spurious (early) wakeups are harmless; a late one would break
 // the event-driven/dense equivalence.
 func (c *Channel) NextWakeup(now int64) int64 {
+	if c.WakeCache && c.cmdWake > now {
+		// Tick computed this exact answer on an idle scan, and nothing
+		// has changed since (every mutation zeroes cmdWake).
+		return c.cmdWake
+	}
+	w := Never
+	perGroup := c.NumBanks / c.Groups
+	for i := 0; i < c.NumBanks; i++ {
+		if c.queueLen(i) == 0 {
+			continue
+		}
+		w = min(w, c.earliestLegal(c.head(i), i/perGroup))
+	}
+	return c.wakeAfter(now, w)
+}
+
+// wakeAfter folds the earliest head issue tick w into the channel-level
+// wake terms (refresh, bus-only transfers) and clamps the result
+// strictly after now.
+func (c *Channel) wakeAfter(now, w int64) int64 {
 	if c.refreshDue {
 		// Refresh drain/perform progresses on per-tick conditions
 		// (preOK, bus quiet, queue drain); step densely through it.
 		return now + 1
 	}
-	w := Never
-	if c.refreshInterval > 0 && c.nextRefresh < w {
-		w = c.nextRefresh // arming tick mutates refreshDue
+	if c.refreshInterval > 0 {
+		w = min(w, c.nextRefresh) // arming tick mutates refreshDue
 	}
 	if len(c.busOnly)-c.boHead > 0 {
-		if v := c.busFreeAt - int64(c.T.TCAS); v < w {
-			w = v
-		}
-	}
-	for i := 0; i < c.NumBanks; i++ {
-		if c.queueLen(i) == 0 {
-			continue
-		}
-		if v := c.earliestLegal(c.head(i)); v < w {
-			w = v
-		}
+		w = min(w, c.busFreeAt-int64(c.T.TCAS))
 	}
 	if w <= now {
 		return now + 1
@@ -704,6 +666,11 @@ func (c *Channel) finishBurst(cmd *Command, dataEnd int64) {
 // consecutive column commands prefer different bank groups (lower tCCD).
 // It returns the issued command or nil; the returned pointer is only
 // valid until the next Tick (the storage is reused).
+//
+// The scan computes each waiting head's earliest issue tick once: the
+// first head whose tick has come issues, and when none has, the minimum
+// over all heads is the channel's next wakeup, cached without a second
+// pass.
 func (c *Channel) Tick(now int64) *Command {
 	c.reclaimTxns(now)
 	if c.maybeRefresh(now) {
@@ -714,30 +681,40 @@ func (c *Channel) Tick(now int64) *Command {
 	}
 	c.tickBusOnly(now)
 	perGroup := c.NumBanks / c.Groups
-	for i := 0; i < c.NumBanks; i++ {
-		g := (c.rrGroup + i%c.Groups) % c.Groups
-		within := (c.rrBank + i/c.Groups) % perGroup
-		bi := g*perGroup + within
-		if c.queueLen(bi) == 0 {
-			continue
+	g, within := c.rrGroup, c.rrBank
+	wake := Never
+	for j := 0; j < perGroup; j++ {
+		for k := 0; k < c.Groups; k++ {
+			bi := g*perGroup + within
+			if c.queueLen(bi) > 0 {
+				cmd := c.head(bi)
+				if t := c.earliestLegal(cmd, g); t > now {
+					wake = min(wake, t)
+				} else {
+					c.lastCmd = *cmd
+					c.popHead(bi)
+					c.apply(&c.lastCmd, now)
+					// Advance round-robin past the bank just served.
+					if c.rrGroup = g + 1; c.rrGroup == c.Groups {
+						c.rrGroup = 0
+						if c.rrBank = within + 1; c.rrBank == perGroup {
+							c.rrBank = 0
+						}
+					}
+					c.cmdWake = 0 // timing state changed: rescan next tick
+					return &c.lastCmd
+				}
+			}
+			if g++; g == c.Groups {
+				g = 0
+			}
 		}
-		cmd := c.head(bi)
-		if !c.legal(cmd, now) {
-			continue
+		if within++; within == perGroup {
+			within = 0
 		}
-		c.lastCmd = *cmd
-		c.popHead(bi)
-		c.apply(&c.lastCmd, now)
-		// Advance round-robin past the bank we just served.
-		c.rrGroup = (g + 1) % c.Groups
-		if g == c.Groups-1 {
-			c.rrBank = (within + 1) % perGroup
-		}
-		c.cmdWake = 0 // timing state changed: rescan next tick
-		return &c.lastCmd
 	}
 	if c.WakeCache {
-		c.cmdWake = c.NextWakeup(now)
+		c.cmdWake = c.wakeAfter(now, wake)
 	}
 	return nil
 }

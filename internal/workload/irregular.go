@@ -471,7 +471,7 @@ func BuildBH(p Params) gpu.Workload {
 			// Body positions: coalesced.
 			prog = append(prog, coalescedLoad(bodyBase, base, p.WarpSize))
 			// Walk the levels: distinct node count doubles with depth.
-			for depth := 0; depth < len(tree.levels); depth++ {
+			for depth := 0; depth < tree.depth(); depth++ {
 				// Spatial sorting keeps at most ~16 distinct nodes per
 				// warp even deep in the tree (Lonestar warp voting).
 				distinct := 1 << uint(depth)

@@ -54,60 +54,58 @@ func (g *csr) degree(i int) int { return int(g.rowPtr[i+1] - g.rowPtr[i]) }
 // edges returns the column indices of node i's edges.
 func (g *csr) edges(i int) []int32 { return g.colIdx[g.rowPtr[i]:g.rowPtr[i+1]] }
 
-// octree is the Barnes-Hut substrate: a pool of tree nodes with child
-// pointers, allocated breadth-first the way the Lonestar builder does.
+// octree is the Barnes-Hut substrate: a pool of tree nodes allocated
+// breadth-first the way the Lonestar builder does. Breadth-first
+// allocation gives each level a consecutive id range, so the tree is
+// stored as those ranges: levels[d] is the first id of level d and
+// levels[len-1] the pool size. The kernels only ever pick nodes by
+// level, so no child pointers are kept.
 type octree struct {
-	levels [][]int32 // node indices per level (into the node pool)
-	child  [][8]int32
+	levels []int32
 }
 
 // randOctree builds a tree with the given depth; fanout thins with depth
 // (real octrees are sparse near the leaves).
 func randOctree(rng *rand.Rand, depth int) *octree {
-	t := &octree{}
-	var pool int32
-	cur := []int32{0}
-	pool = 1
-	t.child = append(t.child, [8]int32{})
+	t := &octree{levels: []int32{0}}
+	first, pool := int32(0), int32(1) // current level is [first, pool)
 	for d := 0; d < depth; d++ {
-		t.levels = append(t.levels, cur)
-		var next []int32
-		for _, n := range cur {
+		maxKids := 8
+		if d > 2 {
+			maxKids = 4
+		}
+		next := pool
+		for n := first; n < pool; n++ {
 			kids := 0
-			maxKids := 8
-			if d > 2 {
-				maxKids = 4
-			}
 			for c := 0; c < 8 && kids < maxKids; c++ {
 				if rng.Intn(8) < maxKids {
-					id := pool
-					pool++
-					t.child = append(t.child, [8]int32{})
-					t.child[n][c] = id
-					next = append(next, id)
+					next++
 					kids++
-				} else {
-					t.child[n][c] = -1
 				}
 			}
 		}
-		if len(next) == 0 {
+		if next == pool {
+			// Levels 0-2 always take all eight children, so dying out
+			// needs each of at least 512 nodes to draw no child: odds
+			// of 2^-4096 or less.
 			break
 		}
-		cur = next
+		t.levels = append(t.levels, pool)
+		first, pool = pool, next
 	}
-	t.levels = append(t.levels, cur)
+	t.levels = append(t.levels, pool)
 	return t
 }
 
+// depth returns the number of levels.
+func (t *octree) depth() int { return len(t.levels) - 1 }
+
 // nodeCount returns the pool size.
-func (t *octree) nodeCount() int { return len(t.child) }
+func (t *octree) nodeCount() int { return int(t.levels[len(t.levels)-1]) }
 
 // pick returns a random node id at the given level (clamped).
 func (t *octree) pick(rng *rand.Rand, level int) int32 {
-	if level >= len(t.levels) {
-		level = len(t.levels) - 1
-	}
-	l := t.levels[level]
-	return l[rng.Intn(len(l))]
+	level = min(level, t.depth()-1)
+	first := t.levels[level]
+	return first + int32(rng.Intn(int(t.levels[level+1]-first)))
 }

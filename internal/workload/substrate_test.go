@@ -92,35 +92,36 @@ func TestOctreeStructure(t *testing.T) {
 	if tr.nodeCount() < 10 {
 		t.Fatalf("tiny tree: %d nodes", tr.nodeCount())
 	}
-	if len(tr.levels) < 3 {
-		t.Fatalf("only %d levels", len(tr.levels))
+	if tr.depth() < 3 {
+		t.Fatalf("only %d levels", tr.depth())
 	}
-	// Children must reference valid pool ids and levels must grow.
-	seen := map[int32]bool{0: true}
-	for _, lvl := range tr.levels {
-		for _, n := range lvl {
-			if int(n) >= tr.nodeCount() {
-				t.Fatalf("level node %d out of pool", n)
-			}
-			for _, c := range tr.child[n] {
-				if c == -1 {
-					continue
-				}
-				if int(c) >= tr.nodeCount() {
-					t.Fatalf("child %d out of pool", c)
-				}
-				if seen[c] && c != 0 {
-					t.Fatalf("node %d has two parents", c)
-				}
-				seen[c] = true
-			}
+	// The level ranges start at the root, follow one another without gap
+	// or overlap, none is empty, and together they cover the pool.
+	if tr.levels[0] != 0 || tr.levels[1] != 1 {
+		t.Fatalf("root level is [%d, %d), want [0, 1)", tr.levels[0], tr.levels[1])
+	}
+	for d := 0; d < tr.depth(); d++ {
+		if tr.levels[d+1] <= tr.levels[d] {
+			t.Fatalf("level %d is [%d, %d)", d, tr.levels[d], tr.levels[d+1])
 		}
 	}
-	// pick must stay within the requested (clamped) level.
+	if int(tr.levels[tr.depth()]) != tr.nodeCount() {
+		t.Fatalf("levels end at %d, pool has %d nodes", tr.levels[tr.depth()], tr.nodeCount())
+	}
+	// Full fanout above depth 3: 1, 8, 64, 512 nodes.
+	for d, want := range []int32{1, 8, 64, 512} {
+		if got := tr.levels[d+1] - tr.levels[d]; got != want {
+			t.Fatalf("level %d has %d nodes, want %d", d, got, want)
+		}
+	}
+	// pick must stay within the requested level, clamped to the deepest.
 	for lvl := 0; lvl < 10; lvl++ {
-		n := tr.pick(rng, lvl)
-		if int(n) >= tr.nodeCount() || n < 0 {
-			t.Fatalf("pick(%d) = %d out of range", lvl, n)
+		in := min(lvl, tr.depth()-1)
+		for i := 0; i < 50; i++ {
+			n := tr.pick(rng, lvl)
+			if n < tr.levels[in] || n >= tr.levels[in+1] {
+				t.Fatalf("pick(%d) = %d outside level %d [%d, %d)", lvl, n, in, tr.levels[in], tr.levels[in+1])
+			}
 		}
 	}
 }

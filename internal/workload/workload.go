@@ -139,12 +139,15 @@ func newBuilder(p Params) *builder {
 }
 
 // eachWarp invokes f for every (sm, warp) with a per-warp RNG and global
-// warp index; f returns the warp's program.
+// warp index; f returns the warp's program. One generator serves every
+// warp, re-seeded per warp (which restarts its stream exactly as a fresh
+// source would), so f must not keep rng past its return.
 func (b *builder) eachWarp(f func(rng *rand.Rand, global int) sm.Program) {
+	rng := rand.New(rand.NewSource(0))
 	for s := 0; s < b.p.NumSMs; s++ {
 		for w := 0; w < b.p.WarpsPerSM; w++ {
 			g := s*b.p.WarpsPerSM + w
-			rng := rand.New(rand.NewSource(b.p.Seed + int64(g)*7919))
+			rng.Seed(b.p.Seed + int64(g)*7919)
 			b.progs[s][w] = f(rng, g)
 		}
 	}

@@ -1,0 +1,302 @@
+package xbar
+
+import "dramlat/internal/memreq"
+
+// refXbar is the full-scan crossbar: every arbiter and wake
+// recomputation visits all queues in modulo-indexed rotation order. The
+// lockstep tests hold Xbar to it.
+type refXbar struct {
+	NumSM, NumPart int
+	// Latency is the one-way pipe latency in ticks.
+	Latency int64
+	// CapPerQueue bounds each (SM,partition) request FIFO; injection
+	// fails (and the SM retries) when full.
+	CapPerQueue int
+	// NoInterleave makes each partition port drain one SM completely
+	// before rotating (WAFCFS interconnect).
+	NoInterleave bool
+
+	toPart [][]ring // [sm][part] request FIFOs
+	toSM   [][]ring // [part][sm] response FIFOs
+	rrReq  []int    // per-partition SM rotation
+	curSM  []int    // per-partition sticky SM (NoInterleave)
+	rrResp []int    // per-SM partition rotation
+
+	// pendSM/pendRot record, per partition, which SM's head the last
+	// successful PeekPart returned and the round-robin rotation PopPart
+	// must apply when it consumes it. Keeping the pending pop as flat
+	// per-partition state lets PeekPart avoid allocating a pop closure
+	// per request on the hottest crossbar path.
+	pendSM  []int
+	pendRot []int
+
+	// Wakeup bookkeeping for the event-driven system loop. reqWake and
+	// respWake are lower bounds on the earliest head readyAt of the
+	// queues toward a partition / an SM: min-updated on insert (exact
+	// when the queue was empty), recomputed from the true heads on every
+	// pop attempt. A stale-early bound only costs a spurious visit.
+	reqWake  []int64
+	respWake []int64
+	queuedTo []int64 // per-partition queued request count (NoInterleave)
+	// minReqWake / minRespWake are the minima of reqWake / respWake as of
+	// the last RecomputeMins. The system loop recomputes them after each
+	// block of SM ticks and each block of partition ticks, so it reads a
+	// whole-crossbar wake bound in O(1).
+	minReqWake  int64
+	minRespWake int64
+
+	Injected  int64
+	Rejected  int64
+	Responses int64
+}
+
+// newRef builds a reference crossbar.
+func newRef(numSM, numPart int, latency int64, capPerQueue int) *refXbar {
+	x := &refXbar{
+		NumSM: numSM, NumPart: numPart,
+		Latency: latency, CapPerQueue: capPerQueue,
+		toPart:   make([][]ring, numSM),
+		toSM:     make([][]ring, numPart),
+		rrReq:    make([]int, numPart),
+		curSM:    make([]int, numPart),
+		pendSM:   make([]int, numPart),
+		pendRot:  make([]int, numPart),
+		rrResp:   make([]int, numSM),
+		reqWake:  make([]int64, numPart),
+		respWake: make([]int64, numSM),
+		queuedTo: make([]int64, numPart),
+	}
+	x.minReqWake = never
+	x.minRespWake = never
+	for i := range x.reqWake {
+		x.reqWake[i] = never
+	}
+	for i := range x.respWake {
+		x.respWake[i] = never
+	}
+	for i := range x.toPart {
+		x.toPart[i] = make([]ring, numPart)
+	}
+	for i := range x.toSM {
+		x.toSM[i] = make([]ring, numSM)
+	}
+	for i := range x.curSM {
+		x.curSM[i] = -1
+	}
+	return x
+}
+
+// Inject offers a request from SM sm toward its partition (req.Channel).
+// It returns false when the queue is full.
+func (x *refXbar) Inject(sm int, req *memreq.Request, now int64) bool {
+	q := &x.toPart[sm][req.Channel]
+	if q.len() >= x.CapPerQueue {
+		x.Rejected++
+		return false
+	}
+	t := now + x.Latency
+	q.push(entry{req, t})
+	x.Injected++
+	x.queuedTo[req.Channel]++
+	x.reqWake[req.Channel] = min(x.reqWake[req.Channel], t)
+	return true
+}
+
+// PeekPart returns the next request deliverable to partition `part` at tick
+// now without removing it; PopPart(part) consumes it. It returns nil when
+// nothing is ready. Arbitration is round-robin across SMs (or sticky
+// per-SM in NoInterleave mode); each (SM, partition) FIFO preserves
+// order. A successful peek must be consumed (or re-peeked) before the
+// partition's state changes: PopPart pops whatever the last PeekPart on
+// that partition selected.
+func (x *refXbar) PeekPart(part int, now int64) *memreq.Request {
+	if x.NoInterleave {
+		// Stick with the current SM while it has anything queued.
+		cur := x.curSM[part]
+		if cur >= 0 && x.toPart[cur][part].len() > 0 {
+			return x.headIfReady(cur, part, now)
+		}
+		for i := 0; i < x.NumSM; i++ {
+			sm := (x.rrReq[part] + i) % x.NumSM
+			if x.toPart[sm][part].len() > 0 {
+				x.curSM[part] = sm
+				x.rrReq[part] = (sm + 1) % x.NumSM
+				return x.headIfReady(sm, part, now)
+			}
+		}
+		x.curSM[part] = -1
+		return nil
+	}
+	// reqWake is a lower bound on the earliest head readyAt, so a future
+	// bound proves the SM scan below would find nothing. The arbitration
+	// state is untouched either way (rrReq only moves on a pop).
+	if x.queuedTo[part] == 0 || x.reqWake[part] > now {
+		return nil
+	}
+	for i := 0; i < x.NumSM; i++ {
+		sm := (x.rrReq[part] + i) % x.NumSM
+		if req := x.headIfReady(sm, part, now); req != nil {
+			x.pendRot[part] = (sm + 1) % x.NumSM
+			return req
+		}
+	}
+	// Nothing ready: tighten the wake bound to the true earliest head so
+	// the event loop can skip this partition until a request matures.
+	x.recomputeReqWake(part)
+	return nil
+}
+
+// headIfReady returns the head of the (sm, part) FIFO when it has
+// matured, recording it as the partition's pending pop.
+func (x *refXbar) headIfReady(sm, part int, now int64) *memreq.Request {
+	q := &x.toPart[sm][part]
+	if q.len() == 0 || q.front().readyAt > now {
+		return nil
+	}
+	x.pendSM[part] = sm
+	x.pendRot[part] = -1 // NoInterleave rotates eagerly in PeekPart
+	return q.front().req
+}
+
+// PopPart consumes the request the last successful PeekPart(part, ·)
+// returned, advancing the round-robin arbitration past its SM.
+func (x *refXbar) PopPart(part int) {
+	x.toPart[x.pendSM[part]][part].pop()
+	x.queuedTo[part]--
+	x.recomputeReqWake(part)
+	if rot := x.pendRot[part]; rot >= 0 {
+		x.rrReq[part] = rot
+	}
+}
+
+// recomputeReqWake restores the exact per-partition request-wake bound
+// from the queue heads.
+func (x *refXbar) recomputeReqWake(part int) {
+	w := never
+	for sm := 0; sm < x.NumSM; sm++ {
+		if q := &x.toPart[sm][part]; q.len() > 0 && q.front().readyAt < w {
+			w = q.front().readyAt
+		}
+	}
+	x.reqWake[part] = w
+}
+
+func (x *refXbar) recomputeRespWake(sm int) {
+	w := never
+	for part := 0; part < x.NumPart; part++ {
+		if q := &x.toSM[part][sm]; q.len() > 0 && q.front().readyAt < w {
+			w = q.front().readyAt
+		}
+	}
+	x.respWake[sm] = w
+}
+
+// RecomputeMins restores the whole-crossbar minima from the per-index
+// wake bounds, which push and pop keep current. Call it after any
+// sequence of Inject/PopResponse/PeekPart/PopPart/Respond calls and
+// before reading MinReqWake or MinRespWake.
+func (x *refXbar) RecomputeMins() {
+	x.minReqWake = never
+	for _, v := range x.reqWake {
+		x.minReqWake = min(x.minReqWake, v)
+	}
+	x.minRespWake = never
+	for _, v := range x.respWake {
+		x.minRespWake = min(x.minRespWake, v)
+	}
+}
+
+// ReqWake returns the earliest tick at which PeekPart(part, ·) could
+// return a request, or never when nothing is queued toward part. In
+// NoInterleave mode the partition must be visited every tick while any
+// request is queued: PeekPart mutates its sticky-SM arbitration state
+// even on not-ready heads.
+func (x *refXbar) ReqWake(part int) int64 {
+	if x.NoInterleave {
+		if x.queuedTo[part] > 0 {
+			return 0
+		}
+		return never
+	}
+	return x.reqWake[part]
+}
+
+// RespWake returns the earliest tick at which PopResponse(sm, ·) could
+// return a response, or never when none are queued. The bound may be
+// stale-early (≤ now with no deliverable head), which only costs a
+// spurious SM visit, never a missed one.
+func (x *refXbar) RespWake(sm int) int64 { return x.respWake[sm] }
+
+// MinRespWake returns min over SMs of RespWake as of the last
+// RecomputeMins — the earliest tick any SM could receive a response.
+func (x *refXbar) MinRespWake() int64 { return x.minRespWake }
+
+// MinReqWake returns min over partitions of ReqWake as of the last
+// RecomputeMins — the earliest tick any partition could receive a
+// request.
+func (x *refXbar) MinReqWake() int64 {
+	if x.NoInterleave {
+		for _, n := range x.queuedTo {
+			if n > 0 {
+				return 0
+			}
+		}
+		return never
+	}
+	return x.minReqWake
+}
+
+// Respond sends a response from partition part back to the request's SM.
+// The response path is modeled with latency but without back-pressure (the
+// SM drains one response per tick, far above the DRAM return rate).
+func (x *refXbar) Respond(part int, req *memreq.Request, now int64) {
+	sm := int(req.Group.SM)
+	if !req.Group.Valid() {
+		sm = 0
+	}
+	x.RespondTo(part, sm, req, now)
+}
+
+// RespondTo sends a response to an explicit SM (for ungrouped traffic).
+func (x *refXbar) RespondTo(part, sm int, req *memreq.Request, now int64) {
+	t := now + x.Latency
+	x.toSM[part][sm].push(entry{req, t})
+	x.Responses++
+	x.respWake[sm] = min(x.respWake[sm], t)
+}
+
+// PopResponse returns the next response for SM sm at tick now, or nil.
+func (x *refXbar) PopResponse(sm int, now int64) *memreq.Request {
+	for i := 0; i < x.NumPart; i++ {
+		part := (x.rrResp[sm] + i) % x.NumPart
+		q := &x.toSM[part][sm]
+		if q.len() == 0 || q.front().readyAt > now {
+			continue
+		}
+		e := q.pop()
+		x.rrResp[sm] = (part + 1) % x.NumPart
+		x.recomputeRespWake(sm)
+		return e.req
+	}
+	x.recomputeRespWake(sm)
+	return nil
+}
+
+// Empty reports whether the crossbar holds no traffic in either direction.
+func (x *refXbar) Empty() bool {
+	for sm := range x.toPart {
+		for part := range x.toPart[sm] {
+			if x.toPart[sm][part].len() > 0 {
+				return false
+			}
+		}
+	}
+	for part := range x.toSM {
+		for sm := range x.toSM[part] {
+			if x.toSM[part][sm].len() > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}

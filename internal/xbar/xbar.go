@@ -13,7 +13,11 @@
 // [51], Section VI-C2).
 package xbar
 
-import "dramlat/internal/memreq"
+import (
+	"math/bits"
+
+	"dramlat/internal/memreq"
+)
 
 // never is the wakeup-contract sentinel (see dram.Never).
 const never int64 = 1 << 62
@@ -68,6 +72,45 @@ func (r *ring) grow() {
 	r.head = 0
 }
 
+// bitset is a fixed-width set of small integers packed into words.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i int)   { b[i>>6] |= 1 << uint(i&63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << uint(i&63) }
+
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rotWord returns the k-th word of a walk over b in rotation order
+// starting at index start, for k in [0, len(b)], along with the index of
+// its bit 0. Word 0 keeps the bits at or above start in the start word;
+// word len(b) revisits the start word for the bits below start. Walking
+// k = 0..len(b) and each word's set bits from low to high visits every
+// member exactly once in the order start, start+1, ..., wrapping to 0.
+func (b bitset) rotWord(start, k int) (uint64, int) {
+	w0 := start >> 6
+	wi := w0 + k
+	if wi >= len(b) {
+		wi -= len(b)
+	}
+	word := b[wi]
+	switch k {
+	case 0:
+		word &= ^uint64(0) << uint(start&63)
+	case len(b):
+		word &= 1<<uint(start&63) - 1
+	}
+	return word, wi << 6
+}
+
 // Xbar is the SM <-> partition crossbar.
 type Xbar struct {
 	NumSM, NumPart int
@@ -80,11 +123,17 @@ type Xbar struct {
 	// before rotating (WAFCFS interconnect).
 	NoInterleave bool
 
-	toPart [][]ring // [sm][part] request FIFOs
-	toSM   [][]ring // [part][sm] response FIFOs
-	rrReq  []int    // per-partition SM rotation
-	curSM  []int    // per-partition sticky SM (NoInterleave)
-	rrResp []int    // per-SM partition rotation
+	toPart [][]ring // [part][sm] request FIFOs
+	toSM   [][]ring // [sm][part] response FIFOs
+	// reqBusy[part] holds the SMs with a non-empty FIFO toward part;
+	// respBusy[sm] the partitions with a non-empty FIFO toward sm. The
+	// arbiters and the wake recomputations walk only these set bits, in
+	// round-robin order, instead of every queue.
+	reqBusy  []bitset
+	respBusy []bitset
+	rrReq    []int // per-partition SM rotation
+	curSM    []int // per-partition sticky SM (NoInterleave)
+	rrResp   []int // per-SM partition rotation
 
 	// pendSM/pendRot record, per partition, which SM's head the last
 	// successful PeekPart returned and the round-robin rotation PopPart
@@ -95,13 +144,14 @@ type Xbar struct {
 	pendRot []int
 
 	// Wakeup bookkeeping for the event-driven system loop. reqWake and
-	// respWake are lower bounds on the earliest head readyAt of the
-	// queues toward a partition / an SM: min-updated on insert (exact
-	// when the queue was empty), recomputed from the true heads on every
-	// pop attempt. A stale-early bound only costs a spurious visit.
+	// respWake are the exact earliest head readyAt of the queues toward a
+	// partition / an SM (never when all are empty): min-updated on insert
+	// (a FIFO's readyAt never decreases, so only an empty queue's new
+	// head can lower the bound) and recomputed from the true heads on
+	// every pop. Because the bound is exact, a bound in the future proves
+	// no head is ready and the arbiters return at once.
 	reqWake  []int64
 	respWake []int64
-	queuedTo []int64 // per-partition queued request count (NoInterleave)
 	// minReqWake / minRespWake are the minima of reqWake / respWake as of
 	// the last RecomputeMins. The system loop recomputes them after each
 	// block of SM ticks and each block of partition ticks, so it reads a
@@ -119,8 +169,10 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 	x := &Xbar{
 		NumSM: numSM, NumPart: numPart,
 		Latency: latency, CapPerQueue: capPerQueue,
-		toPart:   make([][]ring, numSM),
-		toSM:     make([][]ring, numPart),
+		toPart:   make([][]ring, numPart),
+		toSM:     make([][]ring, numSM),
+		reqBusy:  make([]bitset, numPart),
+		respBusy: make([]bitset, numSM),
 		rrReq:    make([]int, numPart),
 		curSM:    make([]int, numPart),
 		pendSM:   make([]int, numPart),
@@ -128,7 +180,6 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 		rrResp:   make([]int, numSM),
 		reqWake:  make([]int64, numPart),
 		respWake: make([]int64, numSM),
-		queuedTo: make([]int64, numPart),
 	}
 	x.minReqWake = never
 	x.minRespWake = never
@@ -139,10 +190,12 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 		x.respWake[i] = never
 	}
 	for i := range x.toPart {
-		x.toPart[i] = make([]ring, numPart)
+		x.toPart[i] = make([]ring, numSM)
+		x.reqBusy[i] = newBitset(numSM)
 	}
 	for i := range x.toSM {
-		x.toSM[i] = make([]ring, numSM)
+		x.toSM[i] = make([]ring, numPart)
+		x.respBusy[i] = newBitset(numPart)
 	}
 	for i := range x.curSM {
 		x.curSM[i] = -1
@@ -153,16 +206,17 @@ func New(numSM, numPart int, latency int64, capPerQueue int) *Xbar {
 // Inject offers a request from SM sm toward its partition (req.Channel).
 // It returns false when the queue is full.
 func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
-	q := &x.toPart[sm][req.Channel]
+	part := req.Channel
+	q := &x.toPart[part][sm]
 	if q.len() >= x.CapPerQueue {
 		x.Rejected++
 		return false
 	}
 	t := now + x.Latency
 	q.push(entry{req, t})
+	x.reqBusy[part].set(sm)
 	x.Injected++
-	x.queuedTo[req.Channel]++
-	x.reqWake[req.Channel] = min(x.reqWake[req.Channel], t)
+	x.reqWake[part] = min(x.reqWake[part], t)
 	return true
 }
 
@@ -174,46 +228,68 @@ func (x *Xbar) Inject(sm int, req *memreq.Request, now int64) bool {
 // partition's state changes: PopPart pops whatever the last PeekPart on
 // that partition selected.
 func (x *Xbar) PeekPart(part int, now int64) *memreq.Request {
+	qs := x.toPart[part]
+	busy := x.reqBusy[part]
 	if x.NoInterleave {
 		// Stick with the current SM while it has anything queued.
 		cur := x.curSM[part]
-		if cur >= 0 && x.toPart[cur][part].len() > 0 {
+		if cur >= 0 && qs[cur].len() > 0 {
 			return x.headIfReady(cur, part, now)
 		}
-		for i := 0; i < x.NumSM; i++ {
-			sm := (x.rrReq[part] + i) % x.NumSM
-			if x.toPart[sm][part].len() > 0 {
-				x.curSM[part] = sm
-				x.rrReq[part] = (sm + 1) % x.NumSM
-				return x.headIfReady(sm, part, now)
+		// Otherwise take the first non-empty FIFO in rotation order.
+		for k := 0; k <= len(busy); k++ {
+			word, base := busy.rotWord(x.rrReq[part], k)
+			if word == 0 {
+				continue
 			}
+			sm := base + bits.TrailingZeros64(word)
+			x.curSM[part] = sm
+			x.rrReq[part] = x.nextSM(sm)
+			return x.headIfReady(sm, part, now)
 		}
 		x.curSM[part] = -1
 		return nil
 	}
-	// reqWake is a lower bound on the earliest head readyAt, so a future
-	// bound proves the SM scan below would find nothing. The arbitration
-	// state is untouched either way (rrReq only moves on a pop).
-	if x.queuedTo[part] == 0 || x.reqWake[part] > now {
+	// reqWake is exact, so a future bound proves no head is ready. The
+	// arbitration state is untouched either way (rrReq only moves on a
+	// pop).
+	if x.reqWake[part] > now {
 		return nil
 	}
-	for i := 0; i < x.NumSM; i++ {
-		sm := (x.rrReq[part] + i) % x.NumSM
-		if req := x.headIfReady(sm, part, now); req != nil {
-			x.pendRot[part] = (sm + 1) % x.NumSM
-			return req
+	for k := 0; k <= len(busy); k++ {
+		word, base := busy.rotWord(x.rrReq[part], k)
+		for word != 0 {
+			sm := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			if qs[sm].front().readyAt > now {
+				continue
+			}
+			x.pendSM[part] = sm
+			x.pendRot[part] = x.nextSM(sm)
+			return qs[sm].front().req
 		}
 	}
-	// Nothing ready: tighten the wake bound to the true earliest head so
-	// the event loop can skip this partition until a request matures.
-	x.recomputeReqWake(part)
-	return nil
+	return nil // unreachable: the exact bound promised a ready head
+}
+
+func (x *Xbar) nextSM(sm int) int {
+	if sm++; sm == x.NumSM {
+		return 0
+	}
+	return sm
+}
+
+func (x *Xbar) nextPart(part int) int {
+	if part++; part == x.NumPart {
+		return 0
+	}
+	return part
 }
 
 // headIfReady returns the head of the (sm, part) FIFO when it has
 // matured, recording it as the partition's pending pop.
 func (x *Xbar) headIfReady(sm, part int, now int64) *memreq.Request {
-	q := &x.toPart[sm][part]
+	q := &x.toPart[part][sm]
 	if q.len() == 0 || q.front().readyAt > now {
 		return nil
 	}
@@ -225,8 +301,12 @@ func (x *Xbar) headIfReady(sm, part int, now int64) *memreq.Request {
 // PopPart consumes the request the last successful PeekPart(part, ·)
 // returned, advancing the round-robin arbitration past its SM.
 func (x *Xbar) PopPart(part int) {
-	x.toPart[x.pendSM[part]][part].pop()
-	x.queuedTo[part]--
+	sm := x.pendSM[part]
+	q := &x.toPart[part][sm]
+	q.pop()
+	if q.len() == 0 {
+		x.reqBusy[part].clear(sm)
+	}
 	x.recomputeReqWake(part)
 	if rot := x.pendRot[part]; rot >= 0 {
 		x.rrReq[part] = rot
@@ -234,12 +314,15 @@ func (x *Xbar) PopPart(part int) {
 }
 
 // recomputeReqWake restores the exact per-partition request-wake bound
-// from the queue heads.
+// from the heads of the non-empty queues.
 func (x *Xbar) recomputeReqWake(part int) {
 	w := never
-	for sm := 0; sm < x.NumSM; sm++ {
-		if q := &x.toPart[sm][part]; q.len() > 0 && q.front().readyAt < w {
-			w = q.front().readyAt
+	qs := x.toPart[part]
+	for wi, word := range x.reqBusy[part] {
+		for word != 0 {
+			sm := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			w = min(w, qs[sm].front().readyAt)
 		}
 	}
 	x.reqWake[part] = w
@@ -247,9 +330,12 @@ func (x *Xbar) recomputeReqWake(part int) {
 
 func (x *Xbar) recomputeRespWake(sm int) {
 	w := never
-	for part := 0; part < x.NumPart; part++ {
-		if q := &x.toSM[part][sm]; q.len() > 0 && q.front().readyAt < w {
-			w = q.front().readyAt
+	qs := x.toSM[sm]
+	for wi, word := range x.respBusy[sm] {
+		for word != 0 {
+			part := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			w = min(w, qs[part].front().readyAt)
 		}
 	}
 	x.respWake[sm] = w
@@ -277,7 +363,7 @@ func (x *Xbar) RecomputeMins() {
 // even on not-ready heads.
 func (x *Xbar) ReqWake(part int) int64 {
 	if x.NoInterleave {
-		if x.queuedTo[part] > 0 {
+		if !x.reqBusy[part].empty() {
 			return 0
 		}
 		return never
@@ -285,10 +371,8 @@ func (x *Xbar) ReqWake(part int) int64 {
 	return x.reqWake[part]
 }
 
-// RespWake returns the earliest tick at which PopResponse(sm, ·) could
-// return a response, or never when none are queued. The bound may be
-// stale-early (≤ now with no deliverable head), which only costs a
-// spurious SM visit, never a missed one.
+// RespWake returns the earliest tick at which PopResponse(sm, ·) returns
+// a response, or never when none are queued.
 func (x *Xbar) RespWake(sm int) int64 { return x.respWake[sm] }
 
 // MinRespWake returns min over SMs of RespWake as of the last
@@ -300,8 +384,8 @@ func (x *Xbar) MinRespWake() int64 { return x.minRespWake }
 // request.
 func (x *Xbar) MinReqWake() int64 {
 	if x.NoInterleave {
-		for _, n := range x.queuedTo {
-			if n > 0 {
+		for _, b := range x.reqBusy {
+			if !b.empty() {
 				return 0
 			}
 		}
@@ -324,42 +408,52 @@ func (x *Xbar) Respond(part int, req *memreq.Request, now int64) {
 // RespondTo sends a response to an explicit SM (for ungrouped traffic).
 func (x *Xbar) RespondTo(part, sm int, req *memreq.Request, now int64) {
 	t := now + x.Latency
-	x.toSM[part][sm].push(entry{req, t})
+	x.toSM[sm][part].push(entry{req, t})
+	x.respBusy[sm].set(part)
 	x.Responses++
 	x.respWake[sm] = min(x.respWake[sm], t)
 }
 
 // PopResponse returns the next response for SM sm at tick now, or nil.
+// Partitions are served round-robin, starting after the last one served.
 func (x *Xbar) PopResponse(sm int, now int64) *memreq.Request {
-	for i := 0; i < x.NumPart; i++ {
-		part := (x.rrResp[sm] + i) % x.NumPart
-		q := &x.toSM[part][sm]
-		if q.len() == 0 || q.front().readyAt > now {
-			continue
-		}
-		e := q.pop()
-		x.rrResp[sm] = (part + 1) % x.NumPart
-		x.recomputeRespWake(sm)
-		return e.req
+	// respWake is exact, so a future bound proves no head is ready.
+	if x.respWake[sm] > now {
+		return nil
 	}
-	x.recomputeRespWake(sm)
-	return nil
+	qs := x.toSM[sm]
+	busy := x.respBusy[sm]
+	for k := 0; k <= len(busy); k++ {
+		word, base := busy.rotWord(x.rrResp[sm], k)
+		for word != 0 {
+			part := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			q := &qs[part]
+			if q.front().readyAt > now {
+				continue
+			}
+			e := q.pop()
+			if q.len() == 0 {
+				busy.clear(part)
+			}
+			x.rrResp[sm] = x.nextPart(part)
+			x.recomputeRespWake(sm)
+			return e.req
+		}
+	}
+	return nil // unreachable: the exact bound promised a ready head
 }
 
 // Empty reports whether the crossbar holds no traffic in either direction.
 func (x *Xbar) Empty() bool {
-	for sm := range x.toPart {
-		for part := range x.toPart[sm] {
-			if x.toPart[sm][part].len() > 0 {
-				return false
-			}
+	for _, b := range x.reqBusy {
+		if !b.empty() {
+			return false
 		}
 	}
-	for part := range x.toSM {
-		for sm := range x.toSM[part] {
-			if x.toSM[part][sm].len() > 0 {
-				return false
-			}
+	for _, b := range x.respBusy {
+		if !b.empty() {
+			return false
 		}
 	}
 	return true
