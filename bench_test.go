@@ -255,19 +255,16 @@ func BenchmarkWAFCFS(b *testing.B) {
 	}
 }
 
-// benchEngine times one full simulation per iteration under the given
-// engine and reports simulated-ticks/second. The dense/event pair is the
-// speedup measurement behind DESIGN.md's "Simulation engine" section;
-// perfbench/ measures engine, per-layer and service throughput on the
-// full workloads. Allocation counts are reported so -benchmem tracks the
+// BenchmarkRunEventDriven times one full simulation per iteration on
+// the next-wakeup engine and reports simulated-ticks/second; perfbench/
+// measures engine, per-layer and service throughput on the full
+// workloads. Allocation counts are reported so -benchmem tracks the
 // request-freelist and ring-buffer hot paths.
-func benchEngine(b *testing.B, engine string) {
+func BenchmarkRunEventDriven(b *testing.B) {
 	b.ReportAllocs()
 	var ticks int64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(RunSpec{
-			Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.1, Engine: engine,
-		})
+		res, err := Run(RunSpec{Benchmark: "bfs", Scheduler: "wg-w", Scale: 0.1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,13 +272,6 @@ func benchEngine(b *testing.B, engine string) {
 	}
 	b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "sim-ticks/s")
 }
-
-// BenchmarkRunDense times the reference tick-every-cycle engine.
-func BenchmarkRunDense(b *testing.B) { benchEngine(b, "dense") }
-
-// BenchmarkRunEventDriven times the next-wakeup engine on the same run;
-// the ratio to BenchmarkRunDense is the tick-skipping speedup.
-func BenchmarkRunEventDriven(b *testing.B) { benchEngine(b, "event") }
 
 // BenchmarkRunSampled times the interval-sampling engine at full scale
 // (scale 0.1 kernels end inside the settle prefix, leaving nothing to

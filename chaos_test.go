@@ -2,7 +2,6 @@ package dramlat
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +21,7 @@ func chaosSpec(sched string) RunSpec {
 }
 
 // chaosEngines is every engine the fault-injection suite must cover.
-var chaosEngines = []string{"event", "dense"}
+var chaosEngines = []string{"event", "sampled"}
 
 // A partition that stops answering (the observable shape of a late
 // NextWakeup contract violation) must trip the liveness watchdog on
@@ -166,37 +165,27 @@ func TestStopChannelAborts(t *testing.T) {
 	}
 }
 
-// Exhausting MaxCycles returns a typed cycle-budget StallError, and the
-// partial Results at the cap are byte-identical across engines (the
-// differential invariant holds for truncated runs too).
+// Exhausting MaxCycles returns a typed cycle-budget StallError whose
+// dump shows the warps still live at the cap, under every engine. That
+// the truncated Results match the dense reference loop byte for byte is
+// checked in internal/gpu (TestEventDrivenMatchesDense/truncated).
 func TestMaxCyclesStallError(t *testing.T) {
-	run := func(engine string) (Results, *StallError) {
+	for _, engine := range chaosEngines {
 		spec := RunSpec{
 			Benchmark: "bfs", Scheduler: "wg-w",
 			Scale: 0.05, SMs: 4, WarpsPerSM: 8,
 			MaxCycles: 500, Engine: engine,
 		}
-		res, err := Run(spec)
+		_, err := Run(spec)
 		var stall *StallError
 		if !errors.As(err, &stall) {
 			t.Fatalf("engine=%s: want *StallError, got %v", engine, err)
 		}
-		return res, stall
-	}
-	eventRes, eventStall := run("event")
-	if eventStall.Kind != StallCycleBudget {
-		t.Fatalf("kind = %q", eventStall.Kind)
-	}
-	if eventStall.Dump.LiveWarps() == 0 {
-		t.Fatal("no live warps in the cycle-budget dump")
-	}
-	for _, engine := range chaosEngines[1:] {
-		res, stall := run(engine)
 		if stall.Kind != StallCycleBudget {
 			t.Fatalf("engine=%s: kind = %q", engine, stall.Kind)
 		}
-		if !reflect.DeepEqual(eventRes, res) {
-			t.Fatalf("truncated results diverge\nevent: %+v\n%s: %+v", eventRes, engine, res)
+		if stall.Dump.LiveWarps() == 0 {
+			t.Fatalf("engine=%s: no live warps in the cycle-budget dump", engine)
 		}
 	}
 }

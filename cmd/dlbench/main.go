@@ -136,7 +136,6 @@ type runner struct {
 	seed       int64
 	seeds      int // >1: average kernel times over this many seeds
 	ablation   string
-	engine     string
 	s          *session
 }
 
@@ -147,7 +146,7 @@ func (r *runner) spec(bench, sched string, perfect, zerodiv bool, alpha float64)
 		Benchmark: bench, Scheduler: sched, Scale: r.scale,
 		SMs: r.sms, WarpsPerSM: r.warps, Seed: r.seed,
 		PerfectCoalescing: perfect, ZeroDivergence: zerodiv, SBWASAlpha: alpha,
-		Ablation: r.ablation, Engine: r.engine,
+		Ablation: r.ablation,
 	}
 }
 
@@ -215,7 +214,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	server := flag.String("server", "", "run the simulations on a dlserve instance at this URL instead of locally")
 	priority := flag.Int("priority", 0, "with -server: job priority (higher runs first)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate paper numbers — error bars are not printed, prefer exact engines here)")
 	cacheDir := flag.String("cache", defaultCacheDir(), "persistent result cache dir (\"none\" disables)")
 	jsonOut := flag.String("json", "", "also write every run as sweep JSON to this file (\"-\" = stdout)")
 	pf := prof.Register()
@@ -238,7 +236,7 @@ func main() {
 	var cache *sweep.Cache
 	if *server != "" {
 		// Thin-client mode: simulations run on a dlserve instance with its
-		// own cache, worker pool and engine selection.
+		// own cache and worker pool.
 		ex = &client.Remote{BaseURL: *server, Priority: *priority, Progress: progress}
 	} else {
 		if *cacheDir != "" && *cacheDir != "none" {
@@ -257,8 +255,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	s := newSession(ctx, ex)
-	r := &runner{scale: *scale, sms: *sms, warps: *warps, seed: *seed, seeds: *seeds,
-		engine: *engine, s: s}
+	r := &runner{scale: *scale, sms: *sms, warps: *warps, seed: *seed, seeds: *seeds, s: s}
 
 	exps := map[string]func(*runner){
 		"table1": table1, "table2": table2, "table3": table3,
@@ -817,7 +814,7 @@ func ablation(r *runner) {
 	benches := []string{"bfs", "kmeans", "spmv", "sssp"}
 	for _, ab := range []string{"count-score", "no-orphan", "no-credits"} {
 		sub := &runner{scale: r.scale, sms: r.sms, warps: r.warps, seed: r.seed,
-			ablation: ab, engine: r.engine, s: r.s}
+			ablation: ab, s: r.s}
 		var slow []float64
 		fmt.Printf("%-14s", ab)
 		for _, b := range benches {

@@ -150,7 +150,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 	server := flag.String("server", "", "run the sweep on a dlserve instance at this URL instead of locally")
 	priority := flag.Int("priority", 0, "with -server: job priority (higher runs first)")
-	engine := flag.String("engine", "", "simulation engine: event (default), dense (both exact, sharing cache entries) or sampled (approximate, with error bars, cached separately)")
+	engine := flag.String("engine", "", "simulation engine: event (default) or sampled (approximate, with error bars, cached separately)")
 	sampleWindow := flag.Int64("sample-window", 0, "sampled engine: detailed measurement window cycles (0 = default)")
 	sampleFF := flag.Int64("sample-ff", 0, "sampled engine: fast-forward cycles per region (0 = default)")
 	sampleWarmup := flag.Int64("sample-warmup", 0, "sampled engine: detailed warm-up cycles after each jump (0 = default)")
@@ -173,6 +173,11 @@ func main() {
 
 	if *format != "json" && *format != "csv" {
 		fail(fmt.Errorf("unknown format %q", *format))
+	}
+	// Checked here because in -server mode the Engine string never
+	// reaches a validator: it does not travel over the wire.
+	if *engine != "" && *engine != "event" && *engine != "sampled" {
+		fail(fmt.Errorf("unknown engine %q (want event or sampled)", *engine))
 	}
 
 	var g sweep.Grid
@@ -261,10 +266,9 @@ func main() {
 	var remote *client.Remote
 	if *server != "" {
 		// Thin-client mode: the sweep runs on a dlserve instance; its
-		// cache, worker pool and engine selection apply. With -trace-dir
-		// the server captures telemetry and the artifacts are downloaded
-		// into the local dir after the run, byte-identical to a local
-		// capture.
+		// cache and worker pool apply. With -trace-dir the server
+		// captures telemetry and the artifacts are downloaded into the
+		// local dir after the run, byte-identical to a local capture.
 		remote = &client.Remote{BaseURL: *server, Priority: *priority, Progress: progress}
 		if *traceDir != "" {
 			if !*traceEvents && *sampleEvery <= 0 {

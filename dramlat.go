@@ -75,11 +75,9 @@ type RunSpec struct {
 	// traced and untraced runs share a result-cache entry.
 	Telemetry telemetry.Options `json:"-"`
 
-	// Engine selects the simulation engine: "" / "event" (default),
-	// "dense" (the tick-every-cycle reference loop) or "sampled". The
-	// exact engines produce byte-identical Results, so the field is
-	// excluded from Canonical and Hash and they share a result-cache
-	// entry; a sampled run is kept apart by its Sampled block.
+	// Engine selects the simulation engine: "" / "event" (default) or
+	// "sampled". The field is excluded from Canonical and Hash; a
+	// sampled run is kept apart from exact ones by its Sampled block.
 	Engine string `json:"-"`
 
 	// Sampled configures the interval-sampling engine (Engine

@@ -183,9 +183,9 @@ type Channel struct {
 	// WakeCache lets Tick skip the bank scan outright while now is before
 	// cmdWake, a cached lower bound on the next tick any command can
 	// issue (recomputed on idle ticks, zeroed by every state mutation).
-	// Off in the dense reference engine so its Tick stays the pristine
-	// differential oracle; the cache's own contract is covered by
-	// TestNextWakeupNeverLate.
+	// The GPU model always turns it on; the tests' dense reference loop
+	// turns it off so its Tick stays the pristine differential oracle.
+	// The cache's own contract is covered by TestNextWakeupNeverLate.
 	WakeCache bool
 	cmdWake   int64
 

@@ -5,7 +5,6 @@
 package gpu
 
 import (
-	"io"
 	"time"
 
 	"dramlat/internal/gddr5"
@@ -104,9 +103,7 @@ type Config struct {
 	Faults *chaos.Faults
 
 	// Engine selects the simulation engine: "" or EngineEvent
-	// (event-driven next-wakeup, the default), EngineDense (the
-	// tick-every-cycle differential-testing oracle) or EngineSampled.
-	// The exact engines produce byte-identical Results.
+	// (event-driven next-wakeup, the default) or EngineSampled.
 	Engine string
 
 	// Sampled configures EngineSampled's interval sampling. Unlike
@@ -114,10 +111,6 @@ type Config struct {
 	// which regions run detailed vs modeled), so the façade includes
 	// them in the content hash.
 	Sampled SampledConfig
-
-	// CmdLog, when non-nil, receives one line per issued DRAM command
-	// ("tick chN TYPE bank row") for debugging and external analysis.
-	CmdLog io.Writer
 
 	// Telemetry configures the event tracer and interval sampler. The
 	// zero value disables both; disabled telemetry costs one nil-check
@@ -129,9 +122,6 @@ type Config struct {
 const (
 	// EngineEvent is the default event-driven next-wakeup engine.
 	EngineEvent = "event"
-	// EngineDense is the tick-every-cycle reference loop: the
-	// differential-testing oracle, with the DRAM wake cache off.
-	EngineDense = "dense"
 	// EngineSampled is the interval-sampling engine: short full-fidelity
 	// measurement windows on the event-driven core alternate with
 	// fast-forward regions advanced by statistical models calibrated
@@ -140,11 +130,6 @@ const (
 	// (see DESIGN.md "Sampled engine").
 	EngineSampled = "sampled"
 )
-
-// Engines lists the selectable engine names.
-func Engines() []string {
-	return []string{EngineEvent, EngineDense, EngineSampled}
-}
 
 // SampledConfig parameterizes the interval-sampling engine. All cycle
 // counts are in ticks; zero fields take the Default*Cycles values.
@@ -370,13 +355,8 @@ func (c Config) Validate() error {
 		v.Addf("MaxTicks", c.MaxTicks, "must be positive")
 	}
 	switch c.Engine {
-	case "", EngineEvent, EngineDense:
+	case "", EngineEvent:
 	case EngineSampled:
-		if c.CmdLog != nil {
-			// A sampled command log would have holes spanning every
-			// modeled region; reject instead of emitting a partial log.
-			v.Addf("CmdLog", "non-nil", "command logging requires an exact engine (fast-forward regions issue no commands)")
-		}
 		if c.Sampled.WindowCycles < 0 {
 			v.Addf("Sampled.WindowCycles", c.Sampled.WindowCycles, "must be non-negative (0 = default)")
 		}
@@ -387,7 +367,7 @@ func (c Config) Validate() error {
 			v.Addf("Sampled.WarmupCycles", c.Sampled.WarmupCycles, "must be non-negative (0 = default)")
 		}
 	default:
-		v.Addf("Engine", c.Engine, "unknown engine (want event, dense or sampled)")
+		v.Addf("Engine", c.Engine, "unknown engine (want event or sampled)")
 	}
 	return v.Err()
 }

@@ -105,7 +105,8 @@ type System struct {
 
 	// Engine holds per-run engine counters (visit/skip rates). They are
 	// deliberately NOT part of Results: the engines batch work
-	// differently, and Results must stay byte-identical between them.
+	// differently, and Results must stay byte-identical to the dense
+	// reference loop.
 	Engine EngineStats
 
 	now int64
@@ -113,9 +114,9 @@ type System struct {
 
 // EngineStats counts the work the simulation engine actually performed.
 // VisitedTicks is the number of distinct ticks the main loop executed
-// (equal to Ticks+1 for the dense engine); SMTicks and PartTicks count
-// component-tick executions. The dense/event ratio of these is the
-// tick-skipping win.
+// (equal to Ticks+1 for the dense reference loop); SMTicks and
+// PartTicks count component-tick executions. The dense/event ratio of
+// these is the tick-skipping win.
 type EngineStats struct {
 	VisitedTicks int64
 	SMTicks      int64
@@ -154,9 +155,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	}
 	for ch := 0; ch < cfg.NumChannels; ch++ {
 		channel := dram.NewChannel(cfg.Timing, cfg.NumBanks, cfg.BankGroups, cfg.CmdQueueCap)
-		// The dense reference engine keeps the uncached Tick as the
-		// differential-testing oracle.
-		channel.WakeCache = cfg.Engine != EngineDense
+		channel.WakeCache = true
 		if cfg.EnableRefresh {
 			channel.SetRefresh(cfg.RefreshTicks, cfg.TRFCTicks)
 		}
@@ -181,7 +180,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 			mapper:  s.Mapper, mshrCap: cfg.L2MSHRs, l2Lat: cfg.L2Lat,
 			nextID:    creatorID(uint64(cfg.NumSMs + ch)),
 			noCredits: cfg.Ablation == "no-credits",
-			cmdLog:    cfg.CmdLog,
 			probe:     tracer,
 			tsamp:     sampler,
 		}
@@ -283,84 +281,18 @@ func (s *System) buildScheduler(ch int) (memctrl.Scheduler, *core.WarpScheduler)
 // The default engine is event-driven: it visits a component only at
 // ticks where its state can change and jumps time to the next wakeup
 // when nothing is runnable, producing results byte-identical to the
-// dense reference loop (Cfg.Engine == EngineDense; see DESIGN.md
-// "Simulation engine" and TestEventDrivenMatchesDense). The sampled
+// tick-every-cycle reference loop the tests keep (RunDense in
+// dense_test.go; see DESIGN.md "Simulation engine"). The sampled
 // engine runs its detailed phases on the same next-wakeup loop.
 func (s *System) Run() (Results, error) {
-	switch s.Cfg.Engine {
-	case EngineSampled:
+	if s.Cfg.Engine == EngineSampled {
 		return s.runSampled()
-	case EngineDense:
-		return s.runDense()
-	default:
-		return s.runEvent()
 	}
+	return s.runEvent()
 }
 
 // Now reports the current simulation cycle (for panic-recovery context).
 func (s *System) Now() int64 { return s.now }
-
-// runDense is the reference engine: every component ticks every cycle.
-func (s *System) runDense() (Results, error) {
-	doneTick := int64(-1)
-	// nextSample keeps the per-tick telemetry cost to one compare when
-	// sampling is off (it never matches).
-	nextSample := int64(-1)
-	lastSample := int64(-1)
-	if s.Tel != nil && s.Tel.Sampler != nil {
-		nextSample = s.Tel.Sampler.Every
-	}
-	smDone := make([]bool, len(s.sms))
-	live := 0
-	for i, c := range s.sms {
-		if c.Done() {
-			smDone[i] = true
-		} else {
-			live++
-		}
-	}
-	wd := s.newWatchdog()
-	f := s.Cfg.Faults
-	var stall *guard.StallError
-	for s.now = 0; s.now < s.Cfg.MaxTicks; s.now++ {
-		now := s.now
-		f.CheckPanic(now)
-		s.Engine.VisitedTicks++
-		s.Engine.SMTicks += int64(len(s.sms))
-		s.Engine.PartTicks += int64(len(s.parts))
-		for i, c := range s.sms {
-			if f.Asleep(chaos.TargetSM, i, now) {
-				continue
-			}
-			c.Tick(now, s.x.PopResponse(i, now))
-			if !smDone[i] && c.Done() {
-				smDone[i] = true
-				live--
-			}
-		}
-		for ch, p := range s.parts {
-			if f.Asleep(chaos.TargetPartition, ch, now) {
-				continue
-			}
-			p.Tick(now)
-		}
-		if now == nextSample {
-			s.sample(now)
-			lastSample = now
-			nextSample = now + s.Tel.Sampler.Every
-		}
-		if live == 0 {
-			doneTick = now
-			break
-		}
-		if now >= wd.next {
-			if stall = wd.check(now); stall != nil {
-				break
-			}
-		}
-	}
-	return s.finish(doneTick, lastSample, stall)
-}
 
 // finish flushes telemetry and digests the run. A run that neither
 // drained nor stalled exhausted its cycle budget.

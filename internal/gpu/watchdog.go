@@ -123,7 +123,8 @@ func (s *System) stallError(kind string, now, budget int64) *guard.StallError {
 // engines' right-after-Tick contract they may be stale bounds — but the
 // occupancy and blocked-warp columns are exact.
 func (s *System) stallDump(now int64) guard.StallDump {
-	// The dense loop does not keep the crossbar minima current.
+	// The dense reference loop (dense_test.go) does not keep the
+	// crossbar minima current.
 	s.x.RecomputeMins()
 	d := guard.StallDump{
 		Cycle:        now,

@@ -1,6 +1,7 @@
 package dramlat
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -46,7 +47,6 @@ func TestHashExcludedKnobsAreResultNeutral(t *testing.T) {
 		mut  func(*RunSpec)
 	}{
 		{"engine-event", func(s *RunSpec) { s.Engine = "event" }},
-		{"engine-dense", func(s *RunSpec) { s.Engine = "dense" }},
 		{"max-cycles-sufficient", func(s *RunSpec) { s.MaxCycles = 100_000_000 }},
 		{"stall-cycles", func(s *RunSpec) { s.StallCycles = 5_000_000 }},
 		{"telemetry", func(s *RunSpec) { s.Telemetry = TelemetryOptions{Events: true, EventCap: 64} }},
@@ -128,9 +128,31 @@ func TestSampledRunDeterministic(t *testing.T) {
 	}
 }
 
+// An exact spec's canonical JSON carries no Sampled key: the zero block
+// is dropped by its omitzero tag, so exact specs hash as they did before
+// the sampled engine existed. Go releases before 1.24 ignore omitzero and
+// would emit a zero block, silently changing every exact cache key.
+func TestExactCanonicalJSONOmitsSampled(t *testing.T) {
+	for _, engine := range []string{"", "event"} {
+		spec := exactTinySpec()
+		spec.Engine = engine
+		b, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(b, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["Sampled"]; ok {
+			t.Fatalf("engine %q: exact canonical JSON has a Sampled key: %s", engine, b)
+		}
+	}
+}
+
 // Exact engines must never report approximate results.
 func TestExactEnginesAreNotApproximate(t *testing.T) {
-	for _, engine := range []string{"", "dense"} {
+	for _, engine := range []string{"", "event"} {
 		spec := exactTinySpec()
 		spec.Engine = engine
 		res, err := Run(spec)
